@@ -15,8 +15,9 @@ puts a service boundary in front of it:
   :class:`~repro.parallel.sharded.ShardedStreamEngine` with
   backpressure, per-connection stats, and chunk-boundary checkpointing;
 * :mod:`repro.service.client` -- :class:`SketchClient` (blocking) and
-  :class:`AsyncSketchClient` (asyncio), pipelined feeding plus the full
-  query/snapshot/checkpoint surface;
+  :class:`AsyncSketchClient` (asyncio), two transports over one client
+  core: pipelined feeding plus the full query/snapshot/checkpoint
+  surface;
 * :mod:`repro.service.coordinator` -- :class:`SketchCoordinator`, which
   owns the :class:`~repro.parallel.partition.UniversePartitioner`,
   routes per-server batch slices and merge-snapshot payloads between
@@ -24,9 +25,8 @@ puts a service boundary in front of it:
 * :mod:`repro.service.membership` -- the self-healing layer:
   :class:`FleetProber` (background health probing driving a per-server
   ``up / suspect / down / readmitting`` state machine with automatic
-  fingerprint-verified readmission), :class:`MembershipStateMachine`,
-  and :class:`ShardMigrationPlanner` (cross-server shard migration for
-  permanently lost servers).
+  fingerprint-verified readmission and cross-server shard migration
+  for permanently lost servers) and :class:`MembershipStateMachine`.
 
 The stable import surface for all of it is :mod:`repro.api`.
 """
@@ -41,7 +41,6 @@ from repro.service.coordinator import SketchCoordinator
 from repro.service.membership import (
     FleetProber,
     MembershipStateMachine,
-    ShardMigrationPlanner,
 )
 from repro.service.protocol import (
     DEFAULT_MAX_FRAME,
@@ -69,7 +68,6 @@ __all__ = [
     "ServerBusy",
     "ServerStats",
     "ServiceError",
-    "ShardMigrationPlanner",
     "SketchClient",
     "SketchCoordinator",
     "SketchServer",

@@ -159,7 +159,7 @@ class SketchCoordinator:
         ]
         self._chunks_since_rotate = 0
         self.journal_every = int(journal_every)
-        #: Updates routed per server (the migration planner's load key).
+        #: Updates routed per server (the migration destination's load key).
         self.routed_updates: list[int] = [0] * len(self.addresses)
         #: Migrations completed (functional twin of the metric).
         self.migrations = 0
@@ -190,27 +190,24 @@ class SketchCoordinator:
     async def connect(
         self,
         retries: int = 0,
-        retry_interval: Optional[float] = None,
         *,
         retry: Optional[RetryPolicy] = None,
     ) -> "SketchCoordinator":
         """Connect to every server and verify construction identity.
 
         Retries follow the same surface as :meth:`SketchClient.connect`
-        (``retry=`` policy wins; bare ``retries=`` gets the default
-        exponential shape; ``retry_interval=`` is deprecated).  A server
-        whose ``hello`` fingerprint differs from the local template's
-        was built with other parameters or another seed; routing updates
-        to it would silently break merge exactness, so the handshake
-        raises :class:`FingerprintMismatch` instead.  The per-server
+        (``retry=`` takes a full policy; bare ``retries=`` gets the
+        default exponential shape).  A server whose ``hello``
+        fingerprint differs from the local template's was built with
+        other parameters or another seed; routing updates to it would
+        silently break merge exactness, so the handshake raises
+        :class:`FingerprintMismatch` instead.  The per-server
         snapshot cache is seeded here so degraded reads are possible
         from the first fan-in on.
         """
         if self.clients:
             raise RuntimeError("coordinator already connected")
-        from repro.service.client import _resolve_retry
-
-        policy = _resolve_retry(retry, retries, retry_interval)
+        policy = retry if retry is not None else RetryPolicy(max_attempts=retries + 1)
         self._policy = policy
         self.clients = list(
             await asyncio.gather(
@@ -282,21 +279,11 @@ class SketchCoordinator:
         mechanism: a chunk that was applied but whose ack was lost comes
         back as a duplicate-ack, never a double apply.
         """
-        async def attempt() -> dict:
-            request_id = await client._send(
-                "feed",
-                items=items,
-                deltas=deltas,
-                client=client.client_id,
-                seq=seq,
-            )
-            return await client._drain_timed(request_id)
-
         try:
-            return await attempt()
+            return await client.feed(items, deltas, seq=seq)
         except (OSError, ProtocolError):
             await client._reopen()
-            return await attempt()
+            return await client.feed(items, deltas, seq=seq)
 
     async def feed(self, items, deltas) -> int:
         """Partition one batch and feed every owning server its slice.

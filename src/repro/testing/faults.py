@@ -52,6 +52,7 @@ import struct
 import threading
 import time
 from dataclasses import dataclass
+from multiprocessing.connection import wait as wait_for_exit
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from repro.service.protocol import MAGIC
@@ -245,6 +246,19 @@ def _abort(sock: Optional[socket.socket]) -> None:
         pass
 
 
+def _close(sock: socket.socket) -> None:
+    """Shut down, then close: a close alone does not wake a thread
+    blocked in ``accept`` or ``recv`` on ``sock``; the shutdown does."""
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass
+    try:
+        sock.close()
+    except OSError:
+        pass
+
+
 def _recv_exact(sock: socket.socket, count: int) -> bytes:
     chunks = []
     remaining = count
@@ -267,8 +281,8 @@ class ChaosProxy:
     in arrival order) hits a scheduled index:
 
     ``conn_reset``
-        The frame is dropped and both sides of the connection are
-        aborted with an RST -- the client's next read or write fails.
+        The frame is dropped, the client's side is aborted with an RST
+        (its next read or write fails) and the server's side is closed.
     ``frame_truncate``
         The header plus half the payload reach the server, then both
         sides are aborted -- the server sees a mid-frame EOF
@@ -330,17 +344,14 @@ class ChaosProxy:
 
     def stop(self) -> None:
         """Close the listener and every live relay; joins the threads."""
-        self._closed = True
-        if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:
-                pass
         with self._lock:
+            self._closed = True
             pairs = list(self._pairs)
-        for downstream, upstream in pairs:
-            _abort(downstream)
-            _abort(upstream)
+        if self._listener is not None:
+            _close(self._listener)
+        for pair in pairs:
+            for sock in pair:
+                _close(sock)
         for thread in self._threads:
             thread.join(timeout=5)
 
@@ -367,6 +378,10 @@ class ChaosProxy:
             downstream.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             upstream.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             with self._lock:
+                if self._closed:
+                    _abort(downstream)
+                    _abort(upstream)
+                    return
                 self._pairs.append((downstream, upstream))
             c2s = threading.Thread(
                 target=self._pump_frames,
@@ -416,14 +431,14 @@ class ChaosProxy:
                     if short:
                         break
                     continue
+                # Both kinds reset the client's side; closing the
+                # server's side (finally) ends that connection too.
                 if fault.kind == "conn_reset":
                     _abort(downstream)
-                    _abort(upstream)
                     return
                 if fault.kind == "frame_truncate":
                     upstream.sendall(header + payload[: length // 2])
                     _abort(downstream)
-                    _abort(upstream)
                     return
                 if fault.kind == "frame_delay":
                     time.sleep(fault.param)
@@ -442,11 +457,8 @@ class ChaosProxy:
         except OSError:
             pass
         finally:
-            for sock in (downstream, upstream):
-                try:
-                    sock.close()
-                except OSError:
-                    pass
+            _close(downstream)
+            _close(upstream)
 
     @staticmethod
     def _pump_raw(source: socket.socket, sink: socket.socket) -> None:
@@ -460,11 +472,8 @@ class ChaosProxy:
         except OSError:
             pass
         finally:
-            for sock in (source, sink):
-                try:
-                    sock.close()
-                except OSError:
-                    pass
+            _close(source)
+            _close(sink)
 
 
 # -- worker kills ------------------------------------------------------------
@@ -509,12 +518,13 @@ def kill_worker(target, shard: int, *, wait: float = 5.0) -> int:
     so a test that kills at a chunk boundary knows the next scatter hits
     a corpse rather than racing the signal.
     """
-    pool = _resolve_pool(target)
-    pid = pool.worker_pids()[shard]
+    process = _resolve_pool(target)._processes[shard]
+    pid = process.pid
     os.kill(pid, signal.SIGKILL)
-    process = pool._processes[shard]
-    process.join(timeout=wait)
-    if process.is_alive():  # pragma: no cover - SIGKILL cannot be ignored
+    # Wait on the exit sentinel, not join(): the pool's supervisor may
+    # reap (join) the same process concurrently, and a join that loses
+    # that race reports a dead process as alive.
+    if not wait_for_exit([process.sentinel], timeout=wait):
         raise RuntimeError(f"worker {shard} (pid {pid}) survived SIGKILL")
     return pid
 

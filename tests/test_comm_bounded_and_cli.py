@@ -4,6 +4,7 @@ import pytest
 
 from repro.comm.matrix import build_matrix
 from repro.comm.problems import GapEqualityProblem
+from repro.experiments import all_experiments
 from repro.experiments.__main__ import main
 from repro.lowerbounds.fp_moments import (
     ams_factory,
@@ -55,8 +56,22 @@ class TestExperimentsCLI:
         assert "bound_ok" in output
 
     def test_unknown_experiment_raises(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(SystemExit) as exited:
             main(["e99"])
+        assert exited.value.code == 2
+
+    def test_unknown_experiment_error_lists_known_ids(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["e99"])
+        error = capsys.readouterr().err
+        assert "unknown experiment 'e99'" in error
+        assert ", ".join(all_experiments()) in error
+
+    def test_help_names_the_registered_range(self, capsys):
+        ids = list(all_experiments())
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        assert f"({ids[0]}..{ids[-1]})" in capsys.readouterr().out
 
     def test_full_flag_parses(self, capsys):
         assert main(["e15", "--full"]) == 0

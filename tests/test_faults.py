@@ -4,7 +4,7 @@ Everything here derives from seeded :class:`FaultPlan` schedules, so a
 failing run reproduces under its seed.  The layers under test:
 
 * :class:`RetryPolicy` -- backoff shape, attempt cap, deadline (fake
-  clock), and the deprecated ``retry_interval`` fixed-interval shim;
+  clock);
 * the exactly-once feed protocol -- contiguous per-client ``seq``
   dedup, :class:`SequenceGap` on skips, duplicate acks that do not
   re-apply;
@@ -37,6 +37,7 @@ from repro.core.engine import StreamEngine
 from repro.heavyhitters.count_min import CountMinSketch
 from repro.obs import WORKER_RESTARTS_METRIC
 from repro.service import (
+    AsyncSketchClient,
     RetryPolicy,
     SequenceGap,
     ServerBusy,
@@ -163,12 +164,6 @@ class TestRetryPolicy:
         clock.advance(2.0)
         # ...and the budget is gone.
         assert schedule.next_delay() is None
-
-    def test_fixed_shim_matches_the_legacy_sleep_loop(self):
-        policy = RetryPolicy.fixed(0.25, retries=3)
-        assert policy.max_attempts == 4
-        assert policy.deadline is None
-        assert [policy.delay(n) for n in range(3)] == [0.25, 0.25, 0.25]
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -393,6 +388,40 @@ class TestWireFaults:
             # Delays and slow reads are absorbed by timeouts, not retries.
             assert client.retries == 0
 
+    def test_async_resilient_feed_survives_a_reset_bit_exact(self):
+        items, deltas = stream(7, 4 * CHUNK)
+        server = SketchServer(count_min_factory, 2, "serial")
+        policy = RetryPolicy(
+            max_attempts=8, base_delay=0.02, deadline=20.0, op_timeout=5.0
+        )
+
+        async def source():
+            for chunk in chunked(items, deltas):
+                yield chunk
+
+        async def scenario(proxy):
+            client = await AsyncSketchClient.connect(
+                "127.0.0.1", proxy.port, retry=policy
+            )
+            target = proxy.frames_seen + 2
+            proxy.faults[target] = FaultEvent(at=target, kind="conn_reset")
+            try:
+                return client, await client.feed_chunks(
+                    source(), window=2, retry=policy
+                )
+            finally:
+                await client.close()
+
+        with server.run_in_thread():
+            with ChaosProxy("127.0.0.1", server.port) as proxy:
+                client, result = asyncio.run(scenario(proxy))
+                assert [f.kind for f in proxy.faults_applied] == ["conn_reset"]
+            assert result == {"count": len(items), "position": len(items)}
+            assert client.retries >= 1
+            with SketchClient.connect("127.0.0.1", server.port) as direct:
+                snapshot = direct.snapshot()
+        assert snapshot == serial_reference(items, deltas).snapshot()
+
     def test_retry_exhaustion_raises_the_last_error(self):
         # Every frame after the handshake gets reset; a one-retry policy
         # must give up with the transport error instead of looping.
@@ -419,6 +448,23 @@ class TestWireFaults:
                         iter(chunked(items, deltas)), window=2, retry=policy
                     )
                 client.close()
+
+
+class TestChaosProxyLifecycle:
+    def test_stop_joins_every_proxy_thread(self):
+        server = SketchServer(count_min_factory)
+        with server.run_in_thread():
+            proxy = ChaosProxy("127.0.0.1", server.port).start()
+            with SketchClient.connect("127.0.0.1", proxy.port) as client:
+                assert client.ping()["pong"]
+                # Stop with the relay live: its threads sit in recv().
+                proxy.stop()
+            alive = [
+                thread.name
+                for thread in threading.enumerate()
+                if thread.name.startswith("chaos-")
+            ]
+        assert alive == []
 
 
 # -- supervised respawn over the wire -----------------------------------------

@@ -405,7 +405,13 @@ class TestRestartRecovery:
             client = SketchClient.connect(
                 "127.0.0.1",
                 srv.port,
-                retry=RetryPolicy.fixed(0.05, retries=20),
+                retry=RetryPolicy(
+                    max_attempts=21,
+                    base_delay=0.05,
+                    multiplier=1.0,
+                    max_delay=0.05,
+                    deadline=None,
+                ),
             )
             with client:
                 position = client.ping()["position"]
@@ -434,17 +440,6 @@ class TestRestartRecovery:
                 port,
                 retry=RetryPolicy(max_attempts=3, base_delay=0.01),
             )
-
-    def test_retry_interval_kwarg_warns_but_still_works(self):
-        probe_sock = socket.socket()
-        probe_sock.bind(("127.0.0.1", 0))
-        port = probe_sock.getsockname()[1]
-        probe_sock.close()
-        with pytest.warns(DeprecationWarning, match="retry_interval"):
-            with pytest.raises(OSError):
-                SketchClient.connect(
-                    "127.0.0.1", port, retries=1, retry_interval=0.01
-                )
 
 
 # -- the coordinator ---------------------------------------------------------
