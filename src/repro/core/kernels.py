@@ -645,8 +645,12 @@ def _reset_native_for_tests() -> None:
 
 
 def _contiguous_i64(*arrays: np.ndarray) -> bool:
+    """May these arrays go to C as ``int64_t*``?  Native-order int64,
+    C-contiguous and 8-byte aligned (a misaligned view, e.g. one decoded
+    in place from a byte buffer, is undefined behaviour there)."""
     return all(
-        a.dtype == np.int64 and a.flags.c_contiguous for a in arrays
+        a.dtype == np.int64 and a.flags.c_contiguous and a.flags.aligned
+        for a in arrays
     )
 
 

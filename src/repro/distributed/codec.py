@@ -34,6 +34,25 @@ truncated or corrupted snapshots fail loudly instead of restoring garbage.
 Errors: :class:`SnapshotError` for malformed/truncated/corrupted bytes,
 :class:`FingerprintMismatch` (a subclass) when the bytes are well-formed
 but belong to a differently-constructed sketch.
+
+Copies, views and ownership
+---------------------------
+One encoder, :func:`encode_segments`, emits a value as a list of
+bytes-like segments whose concatenation is the encoding.  Every int64
+ndarray body and ``bytes`` body of at least :data:`VIEW_MIN_BYTES` is a
+``memoryview`` of the caller's own object (zero copies); everything
+else -- tags, lengths, small bodies -- is copied once into one inline
+buffer.  :func:`encode_value` is the join of those segments.  The
+segments read the caller's arrays, so the arrays must not change until
+the segments have been consumed (sent or joined).
+
+:func:`decode_value` accepts any bytes-like buffer.  An int64 body comes
+back as an ``np.frombuffer`` view into it when the buffer is writable
+and the body is 8-byte aligned: passing a writable buffer hands it over,
+so the caller must not change or reuse it, and the arrays keep it
+alive.  A read-only buffer (``bytes``) or a misaligned body costs one
+copy per array, which also leaves every returned array aligned,
+writable and its own.
 """
 
 from __future__ import annotations
@@ -48,6 +67,7 @@ __all__ = [
     "SnapshotError",
     "FingerprintMismatch",
     "encode_value",
+    "encode_segments",
     "decode_value",
     "construction_fingerprint",
     "snapshot_sketch",
@@ -58,6 +78,11 @@ __all__ = [
 MAGIC = b"RSKW"
 VERSION = 1
 _DIGEST_BYTES = 32  # sha256
+
+#: An int64 ndarray or ``bytes`` body of at least this many bytes is a
+#: segment of its own (a view, not a copy); smaller ones are copied inline,
+#: where a copy costs less than one more segment.
+VIEW_MIN_BYTES = 1 << 14
 
 
 class SnapshotError(ValueError):
@@ -105,7 +130,15 @@ def _read_varint(data: bytes, offset: int) -> tuple[int, int]:
             raise SnapshotError("malformed varint (too long)")
 
 
-def _encode_into(out: bytearray, value: Any) -> None:
+def _put_body(out: bytearray, views: list, body: memoryview) -> None:
+    """Append a byte body: inline if small, else as a view at ``len(out)``."""
+    if body.nbytes >= VIEW_MIN_BYTES:
+        views.append((len(out), body))
+    else:
+        out += body
+
+
+def _encode_into(out: bytearray, views: list, value: Any) -> None:
     if value is None:
         out.append(ord("N"))
     elif value is True:
@@ -131,17 +164,17 @@ def _encode_into(out: bytearray, value: Any) -> None:
     elif isinstance(value, (bytes, bytearray)):
         out.append(ord("b"))
         _write_varint(out, len(value))
-        out.extend(value)
+        _put_body(out, views, memoryview(value))
     elif isinstance(value, tuple):
         out.append(ord("t"))
         _write_varint(out, len(value))
         for element in value:
-            _encode_into(out, element)
+            _encode_into(out, views, element)
     elif isinstance(value, list):
         out.append(ord("l"))
         _write_varint(out, len(value))
         for element in value:
-            _encode_into(out, element)
+            _encode_into(out, views, element)
     elif isinstance(value, dict):
         out.append(ord("d"))
         _write_varint(out, len(value))
@@ -156,7 +189,7 @@ def _encode_into(out: bytearray, value: Any) -> None:
         )
         for raw_key, entry in entries:
             out.extend(raw_key)
-            _encode_into(out, entry)
+            _encode_into(out, views, entry)
     elif isinstance(value, np.ndarray):
         if value.dtype == np.int64:
             out.append(ord("a"))
@@ -164,15 +197,15 @@ def _encode_into(out: bytearray, value: Any) -> None:
             for dim in value.shape:
                 _write_varint(out, dim)
             # Fixed little-endian int64 bytes: platform-independent.
-            raw = np.ascontiguousarray(value, dtype="<i8").tobytes()
-            out.extend(raw)
+            body = np.ascontiguousarray(value, dtype="<i8")
+            _put_body(out, views, memoryview(body).cast("B"))
         elif value.dtype == object:
             out.append(ord("O"))
             _write_varint(out, value.ndim)
             for dim in value.shape:
                 _write_varint(out, dim)
             for element in value.ravel().tolist():
-                _encode_into(out, element)
+                _encode_into(out, views, element)
         else:
             raise SnapshotError(
                 f"unsupported ndarray dtype for snapshots: {value.dtype}"
@@ -183,7 +216,14 @@ def _encode_into(out: bytearray, value: Any) -> None:
         )
 
 
-def _decode_from(data: bytes, offset: int) -> tuple[Any, int]:
+def _reshaped(array: np.ndarray, shape: list) -> np.ndarray:
+    try:
+        return array.reshape(shape)
+    except ValueError:
+        raise SnapshotError(f"malformed payload (ndarray shape {shape})") from None
+
+
+def _decode_from(data: memoryview, offset: int) -> tuple[Any, int]:
     if offset >= len(data):
         raise SnapshotError("truncated payload (missing tag)")
     tag = data[offset]
@@ -212,7 +252,11 @@ def _decode_from(data: bytes, offset: int) -> tuple[Any, int]:
         length, offset = _read_varint(data, offset)
         if offset + length > len(data):
             raise SnapshotError("truncated payload (str)")
-        return data[offset : offset + length].decode("utf-8"), offset + length
+        try:
+            text = str(data[offset : offset + length], "utf-8")
+        except UnicodeDecodeError:
+            raise SnapshotError("malformed payload (str is not UTF-8)") from None
+        return text, offset + length
     if tag == ord("b"):
         length, offset = _read_varint(data, offset)
         if offset + length > len(data):
@@ -231,7 +275,10 @@ def _decode_from(data: bytes, offset: int) -> tuple[Any, int]:
         for _ in range(count):
             key, offset = _decode_from(data, offset)
             entry, offset = _decode_from(data, offset)
-            result[key] = entry
+            try:
+                result[key] = entry
+            except TypeError:
+                raise SnapshotError("malformed payload (unhashable dict key)") from None
         return result, offset
     if tag == ord("a"):
         ndim, offset = _read_varint(data, offset)
@@ -245,10 +292,12 @@ def _decode_from(data: bytes, offset: int) -> tuple[Any, int]:
         end = offset + 8 * count
         if end > len(data):
             raise SnapshotError("truncated payload (int64 ndarray)")
-        array = np.frombuffer(data[offset:end], dtype="<i8").astype(
-            np.int64, copy=True
-        )
-        return array.reshape(shape), end
+        array = np.frombuffer(data, dtype="<i8", count=count, offset=offset)
+        if not (
+            array.flags.writeable and array.flags.aligned and array.dtype == np.int64
+        ):
+            array = array.astype(np.int64)  # the one copy (module docstring)
+        return _reshaped(array, shape), end
     if tag == ord("O"):
         ndim, offset = _read_varint(data, offset)
         shape = []
@@ -258,27 +307,62 @@ def _decode_from(data: bytes, offset: int) -> tuple[Any, int]:
         count = 1
         for dim in shape:
             count *= dim
+        if count > len(data) - offset:  # every element takes a byte or more
+            raise SnapshotError("truncated payload (object ndarray)")
         array = np.empty(count, dtype=object)
         for index in range(count):
             element, offset = _decode_from(data, offset)
             array[index] = element
-        return array.reshape(shape), offset
+        return _reshaped(array, shape), offset
     raise SnapshotError(f"unknown value tag {tag:#x}")
+
+
+def encode_segments(value: Any) -> list:
+    """The encoding of ``value`` as bytes-like segments, in order.
+
+    Large int64 ndarray and ``bytes`` bodies are views of ``value``'s own
+    objects; the rest are views of one inline buffer (see the module
+    docstring).
+    """
+    out = bytearray()
+    views: list = []
+    _encode_into(out, views, value)
+    if not views:
+        return [out]
+    inline = memoryview(out)
+    segments = []
+    start = 0
+    for at, body in views:
+        if at > start:
+            segments.append(inline[start:at])
+        segments.append(body)
+        start = at
+    if start < len(out):
+        segments.append(inline[start:])
+    return segments
 
 
 def encode_value(value: Any) -> bytes:
     """Deterministic byte encoding of one plain-data value."""
-    out = bytearray()
-    _encode_into(out, value)
-    return bytes(out)
+    return b"".join(encode_segments(value))
 
 
-def decode_value(data: bytes) -> Any:
-    """Inverse of :func:`encode_value`; rejects trailing bytes."""
-    value, offset = _decode_from(data, 0)
-    if offset != len(data):
+def decode_value(data) -> Any:
+    """Inverse of :func:`encode_value`; rejects trailing bytes.
+
+    ``data`` may be any bytes-like buffer; a writable one is handed over
+    to the int64 arrays decoded from it (see the module docstring).
+    """
+    view = memoryview(data)
+    if view.ndim != 1 or view.format != "B":
+        view = view.cast("B")
+    try:
+        value, offset = _decode_from(view, 0)
+    except RecursionError:
+        raise SnapshotError("malformed payload (nested too deeply)") from None
+    if offset != len(view):
         raise SnapshotError(
-            f"trailing bytes after value ({len(data) - offset} unread)"
+            f"trailing bytes after value ({len(view) - offset} unread)"
         )
     return value
 
@@ -315,7 +399,10 @@ def snapshot_sketch(sketch: Any) -> bytes:
             "records it"
         )
     state["updates_processed"] = sketch.updates_processed
-    payload = encode_value(state)
+    payload = encode_segments(state)
+    digest = hashlib.sha256()
+    for segment in payload:
+        digest.update(segment)
     out = bytearray()
     out.extend(MAGIC)
     out.append(VERSION)
@@ -323,13 +410,17 @@ def snapshot_sketch(sketch: Any) -> bytes:
     _write_varint(out, len(name))
     out.extend(name)
     out.extend(construction_fingerprint(sketch))
-    out.extend(hashlib.sha256(payload).digest())
-    out.extend(payload)
-    return bytes(out)
+    out.extend(digest.digest())
+    return b"".join([out, *payload])
 
 
-def _parse_envelope(data: bytes) -> tuple[str, bytes, bytes]:
-    """Split a snapshot into (class name, fingerprint, payload), verified."""
+def _parse_envelope(data) -> tuple[str, bytes, memoryview]:
+    """Split a snapshot into (class name, fingerprint, payload), verified.
+
+    The payload is a read-only view, so decoding it copies every array
+    once and none of them aliases the caller's ``data``.
+    """
+    data = memoryview(data).toreadonly()
     if len(data) < len(MAGIC) + 1 or data[: len(MAGIC)] != MAGIC:
         raise SnapshotError("not a sketch snapshot (bad magic)")
     offset = len(MAGIC)
@@ -342,13 +433,16 @@ def _parse_envelope(data: bytes) -> tuple[str, bytes, bytes]:
     name_length, offset = _read_varint(data, offset)
     if offset + name_length > len(data):
         raise SnapshotError("truncated snapshot (class name)")
-    name = data[offset : offset + name_length].decode("utf-8")
+    try:
+        name = str(data[offset : offset + name_length], "utf-8")
+    except UnicodeDecodeError:
+        raise SnapshotError("malformed snapshot (class name)") from None
     offset += name_length
     if offset + 2 * _DIGEST_BYTES > len(data):
         raise SnapshotError("truncated snapshot (digests)")
-    fingerprint = data[offset : offset + _DIGEST_BYTES]
+    fingerprint = bytes(data[offset : offset + _DIGEST_BYTES])
     offset += _DIGEST_BYTES
-    payload_digest = data[offset : offset + _DIGEST_BYTES]
+    payload_digest = bytes(data[offset : offset + _DIGEST_BYTES])
     offset += _DIGEST_BYTES
     payload = data[offset:]
     if hashlib.sha256(payload).digest() != payload_digest:

@@ -20,10 +20,11 @@ reply is ready or ``None`` on timeout, and ``("abandon", waits)``
 :class:`SketchClient` carries the requests out on a blocking socket on
 the caller's thread (no event loop), which makes it safe to drive from
 anywhere -- benchmark harnesses, shell tools, worker threads.
-:class:`AsyncSketchClient` awaits them on asyncio streams, for callers
-already inside a loop (the coordinator uses it).  A call on either
-client runs the same generator, so the two behave alike by
-construction.
+:class:`AsyncSketchClient` awaits them on a
+:class:`~repro.service.protocol.FrameProtocol` connection, the server's
+own frame reader, for callers already inside a loop (the coordinator
+uses it).  A call on either client runs the same generator, so the two
+behave alike by construction.
 
 Server-side failures raise the *same* exceptions a local engine would
 (:class:`~repro.distributed.codec.FingerprintMismatch`,
@@ -82,13 +83,12 @@ from repro.obs import (
 )
 from repro.service.protocol import (
     DEFAULT_MAX_FRAME,
+    FrameProtocol,
     make_request,
     raise_for_reply,
-    read_message,
     recv_message,
     send_message,
     unpack_array,
-    write_message,
     ProtocolError,
     SequenceGap,
     ServerBusy,
@@ -690,7 +690,7 @@ def _discard(task: asyncio.Task) -> None:
 class AsyncSketchClient(_ClientCore):
     """Asyncio client: :class:`SketchClient`'s surface, as coroutines."""
 
-    _writer: Optional[asyncio.StreamWriter] = None
+    _conn: Optional[FrameProtocol] = None
 
     async def _run(self, steps):
         """Drive a core generator, awaiting its I/O on this loop."""
@@ -725,33 +725,32 @@ class AsyncSketchClient(_ClientCore):
             conn._abandon(request_id)
 
     async def _open(self) -> None:
-        if self._writer is not None:
+        if self._conn is not None:
             self._shut()
-            try:
-                await self._writer.wait_closed()
-            except OSError:
-                pass
-        opening = asyncio.open_connection(*self._address)
+            await self._conn.wait_closed()
+        opening = asyncio.get_running_loop().create_connection(
+            lambda: FrameProtocol(self._max_frame), *self._address
+        )
         try:
-            self._reader, self._writer = await asyncio.wait_for(
+            _, self._conn = await asyncio.wait_for(
                 opening, self._policy.op_timeout
             )
         except asyncio.TimeoutError:
             raise OSError("connect timed out") from None
         #: Reply reads a race started, by request id.
         self._reading: dict[int, asyncio.Task] = {}
-        #: An abandoned reply read still consuming this stream; awaited
+        #: An abandoned reply read still due on this connection; awaited
         #: (its reply discarded) before the next send.
         self._pending_drain: Optional[asyncio.Task] = None
 
     def _shut(self) -> None:
-        if self._writer is None:
+        if self._conn is None:
             return
         for task in (*self._reading.values(), self._pending_drain):
             if task is not None:
                 _discard(task)
         self._reading, self._pending_drain = {}, None
-        self._writer.close()
+        self._conn.abort()
 
     async def _send(self, op: str, **fields) -> int:
         task, self._pending_drain = self._pending_drain, None
@@ -763,9 +762,7 @@ class AsyncSketchClient(_ClientCore):
             except Exception:
                 pass
         self._request_seq += 1
-        await write_message(
-            self._writer, make_request(op, self._request_seq, **fields)
-        )
+        await self._conn.write(make_request(op, self._request_seq, **fields))
         return self._request_seq
 
     async def _drain(self, request_id: int):
@@ -777,8 +774,7 @@ class AsyncSketchClient(_ClientCore):
     async def _read_reply(self, request_id: int):
         try:
             message = await asyncio.wait_for(
-                read_message(self._reader, self._max_frame),
-                self._policy.op_timeout,
+                self._conn.read(), self._policy.op_timeout
             )
         except asyncio.TimeoutError:
             raise OSError("reply timed out") from None
@@ -814,11 +810,8 @@ class AsyncSketchClient(_ClientCore):
         backup = self._release_backup()
         self._shut()
         for client in (backup, self):
-            if client is not None:
-                try:
-                    await client._writer.wait_closed()
-                except OSError:
-                    pass
+            if client is not None and client._conn is not None:
+                await client._conn.wait_closed()
 
     async def __aenter__(self) -> "AsyncSketchClient":
         return self

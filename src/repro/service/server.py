@@ -4,11 +4,12 @@ Architecture
 ------------
 One asyncio TCP server accepts many concurrent clients speaking the
 :mod:`repro.service.protocol` frame format.  Each connection handler
-reads requests in order; update batches decode straight out of the frame
-into int64 arrays and go down the existing
+reads requests in order through a
+:class:`~repro.service.protocol.FrameProtocol`, which receives each
+frame into its own buffer; update batches decode as int64 views into
+that buffer (an odd-offset body is copied once) and go down the existing
 :class:`~repro.parallel.sharded.ShardedStreamEngine` chunk path --
-partition, scatter, (optionally) process-pool fan-out -- with no
-intermediate copies beyond the codec's own array materialization.
+partition, scatter, (optionally) process-pool fan-out.
 
 **Serialization point.**  Every engine operation (feeds from all
 connections, queries, snapshots) runs on one single-thread executor, so
@@ -56,6 +57,7 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import itertools
+import socket
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -88,6 +90,7 @@ from repro.parallel.partition import UniversePartitioner
 from repro.parallel.sharded import ShardedStreamEngine
 from repro.service.protocol import (
     DEFAULT_MAX_FRAME,
+    FrameProtocol,
     PROTOCOL_VERSION,
     ProtocolError,
     SequenceGap,
@@ -95,9 +98,7 @@ from repro.service.protocol import (
     make_error_reply,
     make_reply,
     pack_array,
-    read_message,
     sanitize_value,
-    write_message,
 )
 
 __all__ = ["ConnectionStats", "ServerStats", "SketchServer"]
@@ -344,11 +345,15 @@ class SketchServer:
         #: Stable ``server=`` label for this instance's metric series.
         self.label = f"srv{next(_SERVER_SEQ)}"
         self.stats = ServerStats(started_at=time.monotonic(), server=self.label)
-        self._server: Optional[asyncio.base_events.Server] = None
+        self._listener: Optional[socket.socket] = None
+        #: Accepted sockets still becoming connections.
+        self._accepting: set[asyncio.Task] = set()
         self._engine_pool: Optional[ThreadPoolExecutor] = None
         self._slots: Optional[asyncio.Semaphore] = None
         self._connection_seq = 0
         self._handler_tasks: set[asyncio.Task] = set()
+        #: Open connections; stop() drops each and waits until it is gone.
+        self._connections: set[FrameProtocol] = set()
         self._closed = False
         self.alert_engine = alert_engine
         self._gateway_port = gateway_port
@@ -360,16 +365,22 @@ class SketchServer:
 
     async def start(self) -> "SketchServer":
         """Bind and start accepting connections; resolves the port."""
-        if self._server is not None:
+        if self._listener is not None:
             raise RuntimeError("server already started")
         self._engine_pool = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="sketch-engine"
         )
         self._slots = asyncio.Semaphore(self.queue_depth)
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self._requested_port
+        loop = asyncio.get_running_loop()
+        # An IPv6 literal has a colon; bind() parses a numeric address in
+        # place (a first getaddrinfo() in a process costs about 1 ms).
+        family = socket.AF_INET6 if ":" in self.host else socket.AF_INET
+        self._listener = socket.create_server(
+            (self.host, self._requested_port), family=family
         )
-        self.port = self._server.sockets[0].getsockname()[1]
+        self._listener.setblocking(False)
+        self.port = self._listener.getsockname()[1]
+        loop.add_reader(self._listener.fileno(), self._accept_ready)
         if self._gateway_port is not None:
             self.gateway = self._build_gateway(self._gateway_port)
             await self.gateway.start()
@@ -377,10 +388,9 @@ class SketchServer:
 
     async def serve_forever(self) -> None:
         """``start()`` (if needed) then serve until cancelled."""
-        if self._server is None:
+        if self._listener is None:
             await self.start()
-        async with self._server:
-            await self._server.serve_forever()
+        await asyncio.get_running_loop().create_future()
 
     async def stop(self) -> None:
         """Stop accepting, flush a final checkpoint, shut the fleet down."""
@@ -389,15 +399,25 @@ class SketchServer:
         self._closed = True
         if self.gateway is not None:
             await self.gateway.stop()
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        # Reap connection handlers still draining their sockets, so the
-        # event loop can close without orphaned tasks.
+        if self._listener is not None:
+            asyncio.get_running_loop().remove_reader(self._listener.fileno())
+            self._listener.close()
+            # Sockets accepted just now become (registered) connections.
+            await asyncio.gather(*self._accepting, return_exceptions=True)
+        # Reap the connection handlers and drop every connection (unsent
+        # replies of reaped handlers go too), then wait until each handler
+        # and connection is gone, so the event loop closes with no orphaned
+        # task and no transport still closing.
         for task in list(self._handler_tasks):
             task.cancel()
-        if self._handler_tasks:
-            await asyncio.gather(*self._handler_tasks, return_exceptions=True)
+        connections = list(self._connections)
+        for connection in connections:
+            connection.abort()
+        await asyncio.gather(
+            *self._handler_tasks,
+            *(connection.wait_closed() for connection in connections),
+            return_exceptions=True,
+        )
         # Shutdown must not shed its own final checkpoint.
         self.queue_deadline = None
         if self._writer is not None and self._writer.last_position != self.position:
@@ -427,7 +447,7 @@ class SketchServer:
                 started.set()
                 return
             started.set()
-            # start_server() already accepts in the background; _run just
+            # start() already accepts in the background; _run just
             # keeps the loop alive until the exit path asks it to stop,
             # then runs the full shutdown *inside* the loop so the final
             # checkpoint and fleet teardown always complete.
@@ -807,14 +827,64 @@ class SketchServer:
             return sanitize_value(await self._engine_call(self._alerts_payload))
         raise ValueError(f"unknown op {op!r}")
 
-    async def _handle_connection(self, reader, writer) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._handler_tasks.add(task)
-            task.add_done_callback(self._handler_tasks.discard)
+    def _accept_ready(self) -> None:
+        """The listener is readable: accept every pending connection.
+
+        The server accepts by itself instead of through
+        ``loop.create_server``: ``asyncio.Server.close()`` fails the
+        transport of an accept still in flight inside asyncio and leaks
+        its socket, while stop() here waits for every accepted socket to
+        become a connection and then drops it.
+        """
+        loop = asyncio.get_running_loop()
+        while True:
+            try:
+                sock, _ = self._listener.accept()
+            except (BlockingIOError, InterruptedError):
+                return
+            except ConnectionAbortedError:
+                continue  # reset by the peer before it was accepted
+            except OSError:  # out of descriptors, say: back off, don't spin
+                loop.remove_reader(self._listener.fileno())
+                loop.call_later(1.0, self._resume_accepting)
+                return
+            task = loop.create_task(
+                loop.connect_accepted_socket(
+                    lambda: FrameProtocol(self.max_frame, on_connect=self._accept),
+                    sock,
+                )
+            )
+            self._accepting.add(task)
+            task.add_done_callback(self._accepted)
+
+    def _resume_accepting(self) -> None:
+        if not self._closed:
+            asyncio.get_running_loop().add_reader(
+                self._listener.fileno(), self._accept_ready
+            )
+
+    def _accepted(self, task: asyncio.Task) -> None:
+        self._accepting.discard(task)
+        if not task.cancelled():
+            task.exception()  # a peer gone during setup needs no report
+
+    def _accept(self, conn: FrameProtocol) -> None:
+        """A new connection: track it and start its request handler."""
+        self._connections.add(conn)
+        conn.closed.add_done_callback(lambda _: self._connections.discard(conn))
+        if self._closed:
+            conn.abort()
+            return
+        task = asyncio.get_running_loop().create_task(
+            self._handle_connection(conn)
+        )
+        self._handler_tasks.add(task)
+        task.add_done_callback(self._handler_tasks.discard)
+
+    async def _handle_connection(self, conn: FrameProtocol) -> None:
         key = self._connection_seq
         self._connection_seq += 1
-        peer = writer.get_extra_info("peername")
+        peer = conn.transport.get_extra_info("peername")
         connection = ConnectionStats(
             peer=f"{peer[0]}:{peer[1]}" if peer else "?",
             opened_at=time.monotonic(),
@@ -826,7 +896,7 @@ class SketchServer:
         try:
             while True:
                 try:
-                    message = await read_message(reader, self.max_frame)
+                    message = await conn.read()
                 except ProtocolError:
                     # Framing is unrecoverable mid-stream: count and drop.
                     connection.bump(errors=1)
@@ -860,18 +930,13 @@ class SketchServer:
                         op=message["op"],
                         ok=reply.get("ok", False),
                     )
-                await write_message(writer, reply)
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        except asyncio.CancelledError:
-            # Only stop() cancels handlers (shutdown reap); finishing
-            # normally here keeps asyncio's stream-protocol done-callback
-            # from re-raising the cancellation into the event loop.
-            pass
+                await conn.write(reply)
+        except OSError:
+            pass  # the peer went away
         finally:
             self.stats.bump(connections_open=-1)
             self.stats.connections.pop(key, None)
             connection.dispose()
-            writer.close()
-            with contextlib.suppress(Exception):
-                await writer.wait_closed()
+            conn.close()
+            # A cancel here leaves the connection to stop(), which waits.
+            await conn.wait_closed()

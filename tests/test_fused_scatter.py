@@ -326,6 +326,72 @@ class TestCountingSortPartitioner:
         assert sum(p is not None for p in parts) == 1
 
 
+def _misaligned(array: np.ndarray) -> np.ndarray:
+    """A C-contiguous int64 copy of ``array`` that is *not* 8-byte aligned
+    (the shape of an array viewed in place at an odd byte offset)."""
+    raw = bytearray(array.nbytes + 1)
+    view = np.frombuffer(raw, dtype=np.int64, count=array.size, offset=1)
+    view[:] = array
+    assert view.flags.c_contiguous and not view.flags.aligned
+    return view
+
+
+class TestMisalignedInputs:
+    """Misaligned int64 views never reach C as ``int64_t*``; each kernel
+    takes its numpy tier and the result is bit-identical to an aligned copy."""
+
+    @staticmethod
+    def _stream(n=6_000):
+        rng = np.random.default_rng(99)
+        items = rng.integers(0, 50_000, n, dtype=np.int64)
+        deltas = rng.integers(-9, 10, n, dtype=np.int64)
+        return items, deltas
+
+    def test_count_min_scatter_and_estimate(self):
+        items, deltas = self._stream()
+        aligned = CountMinSketch(50_000, width=64, depth=4, seed=7)
+        aligned.process_batch(items, deltas)
+        skewed = CountMinSketch(50_000, width=64, depth=4, seed=7)
+        skewed.process_batch(_misaligned(items), _misaligned(deltas))
+        assert np.array_equal(skewed.table, aligned.table)
+        assert not kernels.count_min_scatter(
+            skewed.table, _misaligned(items), _misaligned(deltas),
+            skewed._row_a, skewed._row_b, skewed.prime, False,
+        )
+        probe = items[:500]
+        assert np.array_equal(
+            skewed.estimate_batch(_misaligned(probe)),
+            aligned.estimate_batch(probe),
+        )
+
+    def test_count_sketch_scatter_and_estimate(self):
+        items, deltas = self._stream()
+        aligned = CountSketch(50_000, width=64, depth=4, seed=11)
+        aligned.process_batch(items, deltas)
+        skewed = CountSketch(50_000, width=64, depth=4, seed=11)
+        skewed.process_batch(_misaligned(items), _misaligned(deltas))
+        assert np.array_equal(skewed.table, aligned.table)
+        probe = items[:500]
+        assert (
+            skewed.estimate_batch(_misaligned(probe)).tobytes()
+            == aligned.estimate_batch(probe).tobytes()
+        )
+
+    @pytest.mark.parametrize("num_shards", [2, 5])
+    def test_partition_scatter(self, num_shards):
+        items, deltas = self._stream()
+        partitioner = UniversePartitioner(num_shards, seed=num_shards)
+        skewed = (_misaligned(items), _misaligned(deltas))
+        assert kernels.partition_scatter(*skewed, 1, 1, 1, 2, True) is None
+        for got, want in zip(
+            partitioner.split(*skewed), partitioner.split(items, deltas)
+        ):
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert np.array_equal(got[0], want[0])
+                assert np.array_equal(got[1], want[1])
+
+
 class TestNumpyTierFallback:
     """The kill switch runs everything on the numpy tier, bit-identically."""
 

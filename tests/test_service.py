@@ -15,9 +15,12 @@ tests stay loop-free.
 """
 
 import asyncio
+import gc
 import os
 import socket
 import struct
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -91,18 +94,18 @@ class TestMessageCodec:
     def test_request_round_trip(self):
         items, deltas = stream(3, 100)
         message = make_request("feed", 17, items=items, deltas=deltas)
-        decoded = unpack_message(pack_message(message)[8:])
+        decoded = unpack_message(bytes(pack_message(message))[8:])
         assert decoded["op"] == "feed" and decoded["id"] == 17
         assert np.array_equal(decoded["items"], items)
         assert np.array_equal(decoded["deltas"], deltas)
 
     def test_reply_round_trip(self):
         reply = make_reply(3, {"count": 5, "position": 10})
-        decoded = unpack_message(pack_message(reply)[8:])
+        decoded = unpack_message(bytes(pack_message(reply))[8:])
         assert raise_for_reply(decoded, 3) == {"count": 5, "position": 10}
 
     def test_frame_carries_magic_and_length(self):
-        frame = pack_message(make_request("ping", 1))
+        frame = bytes(pack_message(make_request("ping", 1)))
         assert frame[:4] == MAGIC
         (length,) = struct.unpack(">I", frame[4:8])
         assert length == len(frame) - 8
@@ -143,7 +146,7 @@ class TestMessageCodec:
     def test_float64_survives_message_round_trip(self):
         array = np.array([0.1 + 0.2, 1e-308, -0.0, 3.14159e200])
         message = make_reply(1, pack_array(array))
-        result = raise_for_reply(unpack_message(pack_message(message)[8:]), 1)
+        result = raise_for_reply(unpack_message(bytes(pack_message(message))[8:]), 1)
         assert array.tobytes() == unpack_array(result).tobytes()
 
     def test_error_reply_maps_to_local_exception_types(self):
@@ -153,7 +156,7 @@ class TestMessageCodec:
             (ValueError("v"), ServiceError),
             (RuntimeError("r"), ServiceError),
         ]:
-            reply = unpack_message(pack_message(make_error_reply(9, exc))[8:])
+            reply = unpack_message(bytes(pack_message(make_error_reply(9, exc)))[8:])
             with pytest.raises(expected):
                 raise_for_reply(reply, 9)
 
@@ -213,6 +216,45 @@ class TestMalformedFrames:
             with pytest.raises(ProtocolError):
                 recv_message(client._sock)
             client.close()
+
+
+class TestServerShutdown:
+    def test_stop_closes_idle_and_mid_frame_connections(self, caplog):
+        """stop() closes every connection and waits for each to be gone:
+        nothing is left for the garbage collector to warn about, and
+        asyncio logs no error for a connection accepted during shutdown."""
+        seen = []
+        previous_hook = sys.unraisablehook
+        sys.unraisablehook = seen.append
+        peers = []
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", ResourceWarning)
+                server = SketchServer(count_min_factory, chunk_size=CHUNK)
+                with server.run_in_thread() as srv:
+                    # Accepted in connect order: the raw socket first, so
+                    # the last hello proves all three are being served.
+                    raw = socket.create_connection(("127.0.0.1", srv.port))
+                    peers.append(raw)
+                    raw.sendall(MAGIC + struct.pack(">I", 1000) + b"partial")
+                    for _ in range(2):
+                        peers.append(SketchClient.connect("127.0.0.1", srv.port))
+                    assert peers[-1].stats()["connections_open"] == 3
+                    # ... and a burst of connections racing the shutdown.
+                    for _ in range(8):
+                        peers.append(
+                            socket.create_connection(("127.0.0.1", srv.port))
+                        )
+                assert not server._connections and not server._handler_tasks
+                for peer in peers:
+                    peer.close()
+                gc.collect()
+        finally:
+            sys.unraisablehook = previous_hook
+            for peer in peers:
+                peer.close()
+        assert seen == []
+        assert not [r for r in caplog.records if r.name == "asyncio"]
 
 
 # -- end-to-end exactness ----------------------------------------------------
